@@ -387,34 +387,32 @@ let c9_distributed () =
      price is O(n^2) message complexity (operation broadcasts plus clock \
      announcements) versus the star topology's O(n).\n"
 
-(* --- C10: latency sweep -------------------------------------------------- *)
+(* --- C10: concurrency sweep ---------------------------------------------- *)
 
-let c10_latency () =
-  section "C10: concurrency window vs network latency (timed model)";
-  Printf.printf "  %10s | %12s %10s | %10s\n" "latency" "css(single)" "OTs"
+(* The random driver's [deliver_bias] is the chance of delivering
+   rather than generating when both are possible: the lower it is, the
+   more updates are in flight at once. *)
+let c10_concurrency () =
+  section "C10: concurrency window vs delivery bias (random driver)";
+  Printf.printf "  %10s | %12s %10s | %10s\n" "bias" "css(single)" "OTs"
     "converged";
   List.iter
-    (fun latency ->
+    (fun deliver_bias ->
       let t = Css.create ~nclients:4 () in
       let rng = Random.State.make [| 17 |] in
       let params =
-        {
-          Rlist_sim.Schedule.default_timed_params with
-          t_updates = 150;
-          t_mean_latency = latency;
-          t_think_time = 100.0;
-        }
+        { Rlist_sim.Schedule.default_params with updates = 150; deliver_bias }
       in
-      ignore (Css.run_timed t ~rng ~params);
-      Printf.printf "  %10.0f | %12d %10d | %10b\n" latency
+      ignore (Css.run_random t ~rng ~params);
+      Printf.printf "  %10.1f | %12d %10d | %10b\n" deliver_bias
         (Css.server_metadata_size t)
         (Css.total_ot_count t)
         (Css.converged t))
-    [ 10.0; 50.0; 200.0; 800.0 ];
+    [ 0.9; 0.7; 0.5; 0.3 ];
   Printf.printf
-    "  claim: higher latency widens the concurrency window, and both the \
-     transformation work and the state-space footprint grow with it - the \
-     cost driver for OT protocols is concurrency, not document size.\n"
+    "  claim: a lower delivery bias widens the concurrency window, and both \
+     the transformation work and the state-space footprint grow with it - \
+     the cost driver for OT protocols is concurrency, not document size.\n"
 
 (* --- C11: the coordination spectrum -------------------------------------- *)
 
@@ -1052,16 +1050,12 @@ let c15_network ?json_path ?(smoke = false) () =
 
 (* --- C16: per-channel batching + transform fast paths ------------------ *)
 
-(* Replays the C15 lossy profiles per protocol in three modes and
+(* Replays the C15 lossy profiles per protocol in two modes and
    reports wall-clock throughput (generated updates per second of
    engine time):
 
-   - "baseline": the seed's cost model — one op per message and, for
-     the CSS space, the fast-path record's [baseline] ablation (every
-     ladder square re-hashes its full state set, the pre-optimization
-     cost);
-   - "unbatched": the current default wire, optimized space, fast
-     paths off;
+   - "unbatched": the default wire, one op per message, fast paths
+     off;
    - "batched": per-channel batching plus the leftmost-path fast
      paths.
 
@@ -1071,12 +1065,9 @@ let c15_network ?json_path ?(smoke = false) () =
    the tentpole targets — every client types a burst of consecutive
    characters at the end of its local view before any delivery, so
    each channel flush is one batch whose lanes form a pure append run.
-   The headline number is the CSS batched:baseline speedup per profile
-   (acceptance bar: >= 10x); the unbatched leg attributes how much of
-   it batching itself buys on the already-optimized space.  Every run
-   must still converge, and the fast-path counters must show the
-   specialized paths actually fired.  Emits BENCH_batch.json on
-   request. *)
+   Every run must still converge, and the fast-path counters must
+   show the specialized paths actually fired.  Emits BENCH_batch.json
+   on request. *)
 
 type batch_entry = {
   bt_protocol : string;
@@ -1095,7 +1086,7 @@ type batch_entry = {
   bt_ops_per_s : float;
 }
 
-let batch_write_json ~path ~speedups entries =
+let batch_write_json ~path entries =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -1115,13 +1106,6 @@ let batch_write_json ~path ~speedups entries =
         e.bt_ops_per_s
         (if i = List.length entries - 1 then "" else ","))
     entries;
-  out "  ],\n";
-  out "  \"css_speedups\": [\n";
-  List.iteri
-    (fun i (loss, s) ->
-      out "    {\"loss\": %.2f, \"speedup\": %.2f}%s\n" loss s
-        (if i = List.length speedups - 1 then "" else ","))
-    speedups;
   out "  ]\n";
   out "}\n";
   close_out oc
@@ -1129,9 +1113,6 @@ let batch_write_json ~path ~speedups entries =
 let c16_batching ?json_path ?(smoke = false) () =
   section "C16 (batching): per-channel batches + transform fast paths";
   let updates = if smoke then 150 else 300 in
-  (* The typing run must be long enough for the baseline's O(n)
-     per-square hashing to dominate; below ~1200 operations the
-     constant costs compress the measured speedup. *)
   let bursts = if smoke then 6 else 8 in
   let burst = 64 in
   let entries = ref [] in
@@ -1144,13 +1125,9 @@ let c16_batching ?json_path ?(smoke = false) () =
          and type c2s = c2s
          and type s2c = s2c) ~workload ~loss ~mode faults =
     let batched = mode = `Batched in
-    (* One fast-path record per measured run: [baseline] is captured
-       by each space at creation time, and the counters cover exactly
-       this engine's replicas. *)
-    let fp =
-      Rlist_ot.Fastpath.create ~enabled:batched ~baseline:(mode = `Baseline)
-        ()
-    in
+    (* One fast-path record per measured run, so the counters cover
+       exactly this engine's replicas. *)
+    let fp = Rlist_ot.Fastpath.create ~enabled:batched () in
     let net = Rlist_net.Transport.config ~faults ~seed:42 () in
     let module E = Rlist_sim.Engine.Make (P) in
     let t = E.create ~net ~batching:batched ~fastpath:fp ~nclients:4 () in
@@ -1181,10 +1158,7 @@ let c16_batching ?json_path ?(smoke = false) () =
     in
     let elapsed = (Harness.now_ns () -. t0) /. 1e9 in
     let mode_name =
-      match mode with
-      | `Baseline -> "baseline"
-      | `Unbatched -> "unbatched"
-      | `Batched -> "batched"
+      match mode with `Unbatched -> "unbatched" | `Batched -> "batched"
     in
     if not (E.converged t) then
       failwith
@@ -1227,21 +1201,17 @@ let c16_batching ?json_path ?(smoke = false) () =
         (fun mode ->
           List.iter
             (fun workload ->
-              (* The baseline ablation lives in the CSS state space;
-                 cscw/rga have no equivalent leg. *)
               run_cs
                 (module Jupiter_css.Protocol)
                 ~workload ~loss ~mode (lossy loss);
-              if mode <> `Baseline then begin
-                run_cs
-                  (module Jupiter_cscw.Protocol)
-                  ~workload ~loss ~mode (lossy loss);
-                run_cs
-                  (module Jupiter_rga.Protocol)
-                  ~workload ~loss ~mode (lossy loss)
-              end)
+              run_cs
+                (module Jupiter_cscw.Protocol)
+                ~workload ~loss ~mode (lossy loss);
+              run_cs
+                (module Jupiter_rga.Protocol)
+                ~workload ~loss ~mode (lossy loss))
             [ `Random; `Typing ])
-        [ `Baseline; `Unbatched; `Batched ])
+        [ `Unbatched; `Batched ])
     losses;
   let entries = List.rev !entries in
   let find proto workload loss mode =
@@ -1252,35 +1222,18 @@ let c16_batching ?json_path ?(smoke = false) () =
         && e.bt_loss = loss && e.bt_mode = mode)
       entries
   in
-  let speedups =
-    List.map
-      (fun loss ->
-        ( loss,
-          (find "css" "typing" loss "batched").bt_ops_per_s
-          /. (find "css" "typing" loss "baseline").bt_ops_per_s ))
-      losses
-  in
-  List.iter
-    (fun (loss, s) ->
-      Printf.printf "  css typing speedup vs baseline @ loss %.2f: %.1fx\n"
-        loss s)
-    speedups;
   let batched_css = find "css" "typing" (List.hd losses) "batched" in
   if batched_css.bt_context_hits = 0 || batched_css.bt_append_hits = 0 then
     failwith "C16: fast paths never fired on the batched CSS typing run";
   Printf.printf
     "  claim: batching collapses each channel flush into one message \
      (amplification now counts ops, so reliability cost is comparable \
-     across modes), incremental state hashing and pointer-mirrored \
-     ladder walks remove the per-square O(n) hash of the seed (the \
-     'baseline' leg restores that cost model), and the leftmost-path \
-     fast paths turn appends into O(1) steps; together the batched \
-     path buys >= 10x CSS throughput over the unbatched seed-cost \
-     baseline on the C15 profiles.\n";
+     across modes) and the leftmost-path fast paths turn appends \
+     into O(1) steps.\n";
   match json_path with
   | None -> ()
   | Some path ->
-    batch_write_json ~path ~speedups entries;
+    batch_write_json ~path entries;
     Printf.printf "  wrote %s (%d entries)\n" path (List.length entries)
 
 (* --- C17: flight-recorder overhead + convergence-lag percentiles ------- *)
@@ -1684,5 +1637,5 @@ let claims () =
   c7_pruning ();
   c8_center_cost ();
   c9_distributed ();
-  c10_latency ();
+  c10_concurrency ();
   c11_coordination_spectrum ()

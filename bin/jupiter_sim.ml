@@ -559,10 +559,11 @@ let soak_cmd =
 
 (* --- longrun ----------------------------------------------------------- *)
 
-(* Million-op soak through one engine (lib/run/longrun): chunked
-   sampling of metadata, heap, and per-op latency, to demonstrate the
-   continuous GC keeps both flat where the unbounded run grows.  The
-   digest line is the CI gate's handle for GC-on/GC-off equality. *)
+(* Million-op soak through one engine (lib/run/longrun): window-bounded
+   rounds, with metadata, heap, and per-op latency sampled every
+   [chunk] updates, to demonstrate the continuous GC keeps both flat
+   where the unbounded run grows.  The digest line is the CI gate's
+   handle for GC-on/GC-off equality. *)
 
 let longrun protocol profile nclients updates chunk seed faults_str gc
     assert_flat max_meta json =
@@ -610,8 +611,9 @@ let longrun_cmd =
     Arg.(value & opt int 10_000
          & info [ "chunk" ] ~docv:"K"
              ~doc:
-               "Updates per sampled chunk (the engine quiesces between \
-                chunks).")
+               "Updates between samples.  The engine quiesces after every \
+                round; rounds run straight through sample points, so the \
+                chunk changes no result but the sampled curves.")
   in
   let faults_arg =
     Arg.(value & opt string "none"
@@ -635,7 +637,7 @@ let longrun_cmd =
     (Cmd.info "longrun"
        ~doc:
          "Soak one client/server protocol through a very long horizon \
-          (default one million updates) in sampled chunks, reporting \
+          (default one million updates) in window-bounded rounds, reporting \
           metadata, heap, and per-op latency curves plus a final-document \
           digest.  With $(b,--gc) the continuous compaction keeps the \
           curves flat; without it they grow with the horizon — the \

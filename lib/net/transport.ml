@@ -399,6 +399,10 @@ let tick t =
         end)
       l.unacked
 
+let acks_settled = function
+  | Perfect _ -> true
+  | Lossy l -> (not l.ack_pending) && List.is_empty l.ack_wire
+
 let now = function Perfect _ -> 0 | Lossy l -> l.now
 
 (* Drop dedup keys for payloads delivered more than [retain] sequence

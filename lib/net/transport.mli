@@ -88,6 +88,13 @@ val pending : 'a t -> int
     timed out. *)
 val tick : 'a t -> unit
 
+(** No acknowledgement is owed or in flight on this channel: the
+    receiver has no pending cumulative ack and the reverse wire is
+    empty.  At most two {!tick}s with no delivery in between make it
+    true (one sends or drops the ack, the next consumes it).  Always
+    true on perfect channels. *)
+val acks_settled : 'a t -> bool
+
 val now : 'a t -> int
 
 (** {1 Metadata GC}

@@ -63,6 +63,12 @@ let flatness values =
     let late = mean (n - quarter) n in
     if early <= 0. then 1. else late /. early
 
+(* Updates per client per round; see longrun.mli. *)
+let window = function
+  | Workload.Hotspot -> 4
+  | Workload.Typing -> 2
+  | Workload.Uniform | Workload.Append_log | Workload.Churn -> 1
+
 let run_cs (type c s c2s s2c)
     (module P : Rlist_sim.Protocol_intf.PROTOCOL
       with type client = c
@@ -71,43 +77,33 @@ let run_cs (type c s c2s s2c)
        and type s2c = s2c) ?gc ~faults ~now ~profile ~nclients ~updates
     ~chunk ~seed () =
   let module E = Rlist_sim.Engine.Make (P) in
-  (* The shim's retransmission timer counts ticks, and the timed driver
-     ticks once per agenda event — about [nclients + 2] of those per
-     update (one generation, one server delivery, one broadcast arrival
-     per client).  An rto near the per-op event count retransmits
-     perfectly healthy in-flight messages (the exponential latency tail
-     regularly exceeds it); every duplicate occupies an arrival slot and
-     pushes real deliveries further out through the per-channel FIFO
-     stamp, which expires more timers — a retransmission storm that
-     grows the in-flight window (and the transform lattice) linearly
-     with the horizon.  Ten op-intervals of headroom keeps spurious
-     retransmissions out of a fault-free soak while still recovering
-     promptly when a fault model actually drops messages. *)
-  let rto = 10 * (nclients + 2) in
-  let net = Rlist_net.Transport.config ~shim:true ~rto ~faults ~seed () in
+  let net = Rlist_net.Transport.config ~shim:true ~faults ~seed () in
   let t = E.create ~net ?gc ~history:false ~nclients () in
   let rng = Random.State.make [| seed |] in
   let intent = Workload.intent_generator profile ~nclients ~rng in
+  let read_fraction =
+    (Workload.params profile ~updates).Rlist_sim.Schedule.read_fraction
+  in
+  let window = window profile in
+  let generate i =
+    if Random.State.float rng 1.0 < read_fraction then
+      E.apply_event t (Rlist_sim.Schedule.Generate (i, Intent.Read));
+    let doc_length = Document.length (E.client_document t i) in
+    E.apply_event t
+      (Rlist_sim.Schedule.Generate (i, intent ~client:i ~doc_length))
+  in
   let samples = ref [] in
   let applied = ref 0 in
   let meta_peak = ref 0 in
   let heap_peak = ref 0 in
   let started = now () in
-  while !applied < updates do
-    let todo = min chunk (updates - !applied) in
-    (* The timed scheduler, not the random one: a long random walk
-       lets the unacked window — and with it the transform lattice —
-       grow without bound, so per-op cost would scale with the
-       horizon.  The latency model keeps the in-flight window at its
-       steady state no matter how many ops flow. *)
-    let params = Workload.timed_params profile ~nclients ~updates:todo in
-    let t0 = now () in
-    ignore (E.run_timed ~intent t ~rng ~params);
-    let dt = now () -. t0 in
-    applied := !applied + todo;
-    let meta = E.total_metadata_size t in
+  let sampled_ops = ref 0 in
+  let sampled_at = ref started in
+  let round_meta = ref 0 in
+  let sample () =
+    let at = now () in
     let heap = (Stdlib.Gc.quick_stat ()).Stdlib.Gc.heap_words in
-    if meta > !meta_peak then meta_peak := meta;
+    if !round_meta > !meta_peak then meta_peak := !round_meta;
     if heap > !heap_peak then heap_peak := heap;
     let gc_cycles, reclaimed =
       match E.gc_stats t with
@@ -120,14 +116,35 @@ let run_cs (type c s c2s s2c)
     samples :=
       {
         x_ops = !applied;
-        x_us_per_op = dt *. 1e6 /. Float.of_int todo;
-        x_meta = meta;
+        x_us_per_op =
+          (at -. !sampled_at) *. 1e6 /. Float.of_int (!applied - !sampled_ops);
+        x_meta = !round_meta;
         x_heap_words = heap;
         x_gc_cycles = gc_cycles;
         x_reclaimed = reclaimed;
         x_dedup_keys = E.dedup_keys t;
       }
-      :: !samples
+      :: !samples;
+    sampled_ops := !applied;
+    sampled_at := at;
+    round_meta := 0
+  in
+  (* Rounds ignore chunk boundaries, so [chunk] cannot change the
+     schedule; a sample closes the round that crosses a multiple of
+     it. *)
+  while !applied < updates do
+    for _ = 1 to window do
+      for i = 1 to nclients do
+        if !applied < updates then begin
+          generate i;
+          incr applied
+        end
+      done
+    done;
+    ignore (E.quiesce t);
+    round_meta := max !round_meta (E.total_metadata_size t);
+    if !applied / chunk > !sampled_ops / chunk || !applied = updates then
+      sample ()
   done;
   let elapsed = now () -. started in
   let samples = List.rev !samples in

@@ -3,15 +3,36 @@
     latency stay flat under the continuous GC ({!Rlist_gc}) or grow
     without bound without it.
 
-    The driver applies the workload in chunks of [chunk] updates; each
-    chunk runs {!Rlist_sim.Engine.Make.run_timed} (which quiesces and
-    reads once per client) on the {e same} engine, so state carries
-    across the whole horizon while the RNG stream stays one
-    deterministic sequence per seed.  The timed scheduler — not the
-    random one — because a long random walk lets the unacked window
-    (and with it the transform lattice) grow without bound, making
-    per-op cost scale with the horizon; the latency model holds the
-    in-flight window at its steady state ({!Rlist_workload.Workload.timed_params}).  The engine runs with
+    The driver runs window-bounded rounds on one engine.  In each
+    round every client generates a fixed number of updates (its
+    {e window}) through {!Rlist_sim.Engine.Make.apply_event}, with
+    intents from {!Rlist_workload.Workload.intent_generator}; before
+    each update it issues a read with the profile's [read_fraction]
+    ({!Rlist_workload.Workload.params}).  Then
+    {!Rlist_sim.Engine.Make.quiesce} drains every channel and settles
+    the acks.  At most [nclients * window] updates are ever
+    concurrent, so the transform lattice a round builds, and the
+    work per update, do not depend on the horizon.  Convergence and
+    the weak list specification hold for every FIFO schedule (paper,
+    Section 4.4), so a soak needs bounded concurrency, not a latency
+    model.
+
+    The windows are 4 updates per client for [Hotspot] (the profile
+    that exists to maximize conflicts), 2 for [Typing] and 1 for the
+    rest.  Every round has the same shape, so a round's state space
+    has the same size whatever the seed: with 4 clients and
+    [css-pruned], 135 nodes at window 1, 445 at 2 and 1,605 at 4.  The
+    size grows much faster than the window, and the C18 bench needs
+    the unpruned control to peak at 4x the GC-on peak or more.  A
+    16-update hotspot window (the benchmark's shape) peaks at about
+    23,700 nodes, above the control's 19,500 in the C18 smoke run.
+
+    Rounds run straight through chunk boundaries: [chunk] only sets
+    the sampling interval.  The schedule, the digest, the GC
+    accounting and the metadata peak depend on the seed and the
+    horizon alone.  A sample is
+    taken at the end of the round that crosses a multiple of
+    [chunk], and after the last round.  The engine runs with
     [history:false] — the spec trace and behaviour list are the only
     engine structures that grow with the horizon regardless of GC, and
     a million-op soak cannot afford them.
@@ -23,9 +44,14 @@
     samples vary run to run. *)
 
 type sample = {
-  x_ops : int;  (** Cumulative updates applied after this chunk. *)
-  x_us_per_op : float;  (** Mean wall µs per update over the chunk. *)
-  x_meta : int;  (** Live protocol metadata after the chunk quiesced. *)
+  x_ops : int;  (** Cumulative updates applied at this sample. *)
+  x_us_per_op : float;
+      (** Mean wall µs per update since the previous sample. *)
+  x_meta : int;
+      (** Peak live protocol metadata over the round ends since the
+          previous sample.  A single round end would alias with the
+          GC cycles: one that fires just before it sees a pruned
+          space, one that fires mid-round sees the round's lattice. *)
   x_heap_words : int;  (** [Stdlib.Gc.quick_stat].heap_words. *)
   x_gc_cycles : int;  (** Cumulative compaction cycles. *)
   x_reclaimed : int;  (** Cumulative reclaimed states + log entries. *)

@@ -39,7 +39,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     h_c2s_depth : Metrics.histogram;
     h_s2c_depth : Metrics.histogram;
     h_msg_bytes : Metrics.histogram;
-    h_latency : Metrics.histogram;
     g_metadata : Metrics.gauge;
     last_ot : int array;
     last_meta : int array;
@@ -217,7 +216,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         h_c2s_depth = Metrics.histogram m "channel.c2s.depth";
         h_s2c_depth = Metrics.histogram m "channel.s2c.depth";
         h_msg_bytes = Metrics.histogram m "engine.msg_bytes";
-        h_latency = Metrics.histogram m "engine.virtual_latency";
         g_metadata = Metrics.gauge m "engine.metadata_total";
         last_ot;
         last_meta;
@@ -723,13 +721,32 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     check_client t i;
     pending_s2c t i
 
+  (* No channel owes or carries a cumulative ack (the unused index-0
+     channels never carry anything). *)
+  let acks_settled t =
+    Array.for_all Transport.acks_settled t.to_server
+    && Array.for_all Transport.acks_settled t.to_client
+
   (* Deliver everything recoverable, ticking the virtual clock whenever
      the channels are stalled (payloads in flight or awaiting
      retransmission, nothing ready yet).  Client messages first: only
      they can produce new (server) messages.  With the shim and a fault
      model that lets messages through eventually, this terminates with
-     probability 1; [quiesce_fuel] bounds the pathological cases. *)
-  let drain t step =
+     probability 1; [quiesce_fuel] bounds the pathological cases.
+
+     Acks are sent and consumed only by [Transport.tick], and the
+     delivery loop ticks only when a pass delivers nothing, so a
+     fault-free wire can reach quiescence with every ack still owed.
+     The senders' retransmission buffers would then never shrink
+     across rounds.  So quiescence also ticks until every ack is sent
+     and consumed (or dropped by the fault model): at most two ticks,
+     as a tick never delivers and so cannot owe a new ack. *)
+  let quiesce t =
+    let performed = ref [] in
+    let step ev =
+      apply_event t ev;
+      performed := ev :: !performed
+    in
     let stalled = ref 0 in
     while pending_messages t > 0 do
       let any = ref false in
@@ -754,15 +771,10 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
              disabled)"
       end;
       if pending_messages t > 0 then tick_channels t
-    done
-
-  let quiesce t =
-    let performed = ref [] in
-    let step ev =
-      apply_event t ev;
-      performed := ev :: !performed
-    in
-    drain t step;
+    done;
+    while not (acks_settled t) do
+      tick_channels t
+    done;
     List.rev !performed
 
   let client_document t i =
@@ -780,103 +792,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     else
       let value = Char.chr (Char.code 'a' + Random.State.int rng 26) in
       Intent.Insert (value, Random.State.int rng (doc_length + 1))
-
-  (* Timed driver: a virtual-clock event heap.  Per-channel "last
-     arrival" stamps keep deliveries FIFO under random latencies. *)
-  let run_timed ?intent t ~rng ~params =
-    let open Schedule in
-    let exponential mean = -.mean *. log (1.0 -. Random.State.float rng 1.0) in
-    (* pending timed actions, kept sorted by time *)
-    let agenda = ref [] in
-    let push time action =
-      let rec insert = function
-        | [] -> [ time, action ]
-        | ((time', _) :: _) as all when time < time' -> (time, action) :: all
-        | x :: rest -> x :: insert rest
-      in
-      agenda := insert !agenda
-    in
-    let last_c2s = Array.make (t.nclients + 1) 0.0 in
-    let last_s2c = Array.make (t.nclients + 1) 0.0 in
-    let remaining = ref params.t_updates in
-    let performed = ref [] in
-    let step ev =
-      apply_event t ev;
-      performed := ev :: !performed
-    in
-    let choose_intent i =
-      let doc_length = Document.length (client_document t i) in
-      match intent with
-      | Some choose -> choose ~client:i ~doc_length
-      | None ->
-        if Random.State.float rng 1.0 < params.t_read_fraction then Intent.Read
-        else if
-          doc_length > 0
-          && Random.State.float rng 1.0 < params.t_delete_fraction
-        then Intent.Delete (Random.State.int rng doc_length)
-        else
-          Intent.Insert
-            ( Char.chr (Char.code 'a' + Random.State.int rng 26),
-              Random.State.int rng (doc_length + 1) )
-    in
-    (* seed one future generation per client *)
-    for i = 1 to t.nclients do
-      push (exponential params.t_think_time) (`Gen i)
-    done;
-    let arrival last index now =
-      let time = Float.max last.(index) (now +. exponential params.t_mean_latency) in
-      (* strictly increasing per channel keeps the heap order stable *)
-      let time = time +. 1e-9 in
-      last.(index) <- time;
-      (match t.obs with
-      | None -> ()
-      | Some os -> Metrics.observe os.h_latency (time -. now));
-      time
-    in
-    let rec loop () =
-      match !agenda with
-      | [] -> ()
-      | (now, action) :: rest ->
-        agenda := rest;
-        tick_channels t;
-        (match action with
-        | `Gen i ->
-          if !remaining > 0 then begin
-            let intent = choose_intent i in
-            (match intent with
-            | Intent.Read -> ()
-            | Intent.Insert _ | Intent.Delete _ -> decr remaining);
-            let before = pending_c2s t i in
-            step (Generate (i, intent));
-            if pending_c2s t i > before then
-              push (arrival last_c2s i now) (`C2s i);
-            if !remaining > 0 then
-              push (now +. exponential params.t_think_time) (`Gen i)
-          end
-        | `C2s i ->
-          (* deliveries fan out a broadcast: schedule its arrivals.
-             Under a fault model the payload may be delayed or lost;
-             skip, the closing drain recovers it. *)
-          if deliverable_c2s t i > 0 then begin
-            let before = Array.init (t.nclients + 1) (fun j ->
-                if j = 0 then 0 else pending_s2c t j)
-            in
-            step (Deliver_to_server i);
-            for j = 1 to t.nclients do
-              for _ = 1 to pending_s2c t j - before.(j) do
-                push (arrival last_s2c j now) (`S2c j)
-              done
-            done
-          end
-        | `S2c i ->
-          if deliverable_s2c t i > 0 then
-            step (Deliver_to_client i));
-        loop ()
-    in
-    loop ();
-    drain t step;
-    List.iter step (Schedule.final_reads ~nclients:t.nclients);
-    List.rev !performed
 
   let run_random ?intent t ~rng ~params =
     let performed = ref [] in

@@ -91,26 +91,17 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
     params:Schedule.random_params ->
     Schedule.t
 
-  (** Drive the engine under a latency model: clients generate at
-      exponentially distributed intervals, every message takes an
-      exponentially distributed one-way latency, and deliveries happen
-      in virtual-time order — but FIFO per channel, like TCP, so the
-      protocols' channel assumption holds.  Quiesces (all messages
-      delivered) before returning the realized schedule, which replays
-      verbatim on any behaviour-equivalent protocol. *)
-  val run_timed :
-    ?intent:(client:int -> doc_length:int -> Intent.t) ->
-    t ->
-    rng:Random.State.t ->
-    params:Schedule.timed_params ->
-    Schedule.t
-
   (** Deliver every pending message (client-to-server first, then
       server-to-client, round-robin) until all channels are empty,
       advancing the network clock whenever nothing is ready so delayed
-      payloads arrive and lost ones are retransmitted.  Returns the
-      delivery events performed, so the completed schedule can be
-      replayed against another protocol.
+      payloads arrive and lost ones are retransmitted.  Then settle the
+      acks: tick until no channel owes or carries a cumulative ack (at
+      most two ticks), so on a wire that lost no ack every sender's
+      retransmission buffer is empty again.  Without this, rounds of
+      generate-then-quiesce would never free those buffers, since the
+      delivery loop ticks only when stalled.  Returns the delivery
+      events performed, so the completed schedule can be replayed
+      against another protocol.
       @raise Invalid_argument when the channels cannot quiesce (total
       loss, or a lossy network with the shim disabled). *)
   val quiesce : t -> Schedule.event list

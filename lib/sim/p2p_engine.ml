@@ -501,6 +501,15 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) = struct
       end;
       if pending_messages t > 0 then tick_channels t
     done;
+    (* Settle acks, as [Engine.quiesce] does: ticks are the only way
+       acks leave and arrive, and the loop above ticks only when
+       stalled.  Unused channels (index 0, self-loops) are idle and so
+       always settled. *)
+    while
+      not (Array.for_all (Array.for_all Transport.acks_settled) t.channels)
+    do
+      tick_channels t
+    done;
     List.rev !performed
 
   let document t i =

@@ -45,8 +45,10 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) : sig
   val run : t -> event list -> unit
 
   (** Deliver all pending messages (round-robin over channels) until
-      quiescent; reactions may enqueue further messages.  Returns the
-      deliveries performed. *)
+      quiescent; reactions may enqueue further messages.  Then tick
+      until every channel's cumulative ack is sent and consumed, so
+      the senders' retransmission buffers are empty (at most two
+      ticks).  Returns the deliveries performed. *)
   val quiesce : t -> event list
 
   val pending_messages : t -> int

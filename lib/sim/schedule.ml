@@ -43,23 +43,6 @@ let default_params =
     deliver_bias = 0.55;
   }
 
-type timed_params = {
-  t_updates : int;
-  t_read_fraction : float;
-  t_delete_fraction : float;
-  t_mean_latency : float;
-  t_think_time : float;
-}
-
-let default_timed_params =
-  {
-    t_updates = 40;
-    t_read_fraction = 0.05;
-    t_delete_fraction = 0.3;
-    t_mean_latency = 50.0;  (* "milliseconds" of virtual time *)
-    t_think_time = 120.0;
-  }
-
 let validate ~nclients t =
   let in_range i = 1 <= i && i <= nclients in
   let rec go k = function

@@ -48,18 +48,3 @@ type random_params = {
 }
 
 val default_params : random_params
-
-(** Parameters for the timed (latency-model) driver
-    ([Engine.Make.run_timed]): clients generate operations at
-    exponentially distributed intervals and every message incurs an
-    exponentially distributed network latency, delivered in virtual-time
-    order but FIFO per channel (TCP-like). *)
-type timed_params = {
-  t_updates : int;  (** Total update intents to generate. *)
-  t_read_fraction : float;
-  t_delete_fraction : float;
-  t_mean_latency : float;  (** Mean one-way message latency. *)
-  t_think_time : float;  (** Mean gap between a client's operations. *)
-}
-
-val default_timed_params : timed_params

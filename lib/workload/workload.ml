@@ -86,40 +86,3 @@ let params profile ~updates =
     { base with read_fraction = 0.05; deliver_bias = 0.35 }
   | Append_log -> { base with read_fraction = 0.0; deliver_bias = 0.6 }
   | Churn -> { base with delete_fraction = 0.5 }
-
-(* The timed counterpart: channel utilization instead of deliver_bias.
-   [run_timed] keeps each channel FIFO by pushing an arrival to
-   [max last (now + latency)] — a Lindley recursion, so every s2c
-   channel is a single-server queue whose arrival rate is the whole
-   system's operation rate ([nclients / think]) and whose service time
-   is the latency draw.  Stability therefore demands
-   [latency * nclients / think < 1]; the profile picks the
-   utilization, i.e. how hard it leans on concurrency, and the latency
-   is derived.  An over-unity utilization would grow the in-flight
-   window (and with it the transform lattice) linearly with the
-   horizon — the exact failure mode a long soak exists to rule out. *)
-let timed_params profile ~nclients ~updates =
-  let think = 120.0 in
-  let utilization =
-    match profile with
-    | Uniform -> 0.4
-    | Typing -> 0.15 (* prompt network, light conflicts *)
-    | Hotspot -> 0.8 (* slow network: maximal (stable) concurrency *)
-    | Append_log -> 0.4
-    | Churn -> 0.4
-  in
-  let latency = utilization *. think /. Float.of_int (max 1 nclients) in
-  let base =
-    {
-      Rlist_sim.Schedule.default_timed_params with
-      t_updates = updates;
-      t_think_time = think;
-      t_mean_latency = latency;
-    }
-  in
-  match profile with
-  | Uniform -> base
-  | Typing -> { base with t_read_fraction = 0.05 }
-  | Hotspot -> { base with t_read_fraction = 0.05 }
-  | Append_log -> { base with t_read_fraction = 0.0 }
-  | Churn -> { base with t_delete_fraction = 0.5 }

@@ -2,7 +2,8 @@
 
     A profile describes {e how} users edit; instantiating it with an
     RNG yields a stateful intent generator that plugs into
-    [Engine.run_random].  The profiles model the editing behaviours
+    [Engine.run_random] and into the soak driver's rounds
+    ([Rlist_run.Longrun]).  The profiles model the editing behaviours
     collaborative-text-editing papers exercise: interactive typing,
     mixed revising, everyone fighting over one hot region, append-only
     logging, and uniformly random churn. *)
@@ -37,16 +38,7 @@ val intent_generator :
   Intent.t
 
 (** Scheduling parameters that suit the profile (concurrency level,
-    read mix) with the given number of updates. *)
+    read mix) with the given number of updates.  The soak driver
+    takes only [read_fraction] from them; its concurrency is set by
+    its per-profile round window instead of [deliver_bias]. *)
 val params : profile -> updates:int -> Rlist_sim.Schedule.random_params
-
-(** Timed-scheduler counterpart of {!params}, for long-horizon soaks
-    ([Engine.run_timed]).  Each profile picks a channel {e utilization}
-    (its concurrency level); the mean latency is derived from it so
-    that every FIFO channel — a single-server queue under the timed
-    model's arrival discipline — stays stable.  An unstable channel's
-    backlog, and with it the transform lattice, would grow linearly
-    with the horizon; a stable one keeps the in-flight window at a
-    bounded steady state over millions of operations. *)
-val timed_params :
-  profile -> nclients:int -> updates:int -> Rlist_sim.Schedule.timed_params

@@ -306,6 +306,32 @@ let test_engine_snapshot_artifact () =
       "snapshot covers a pruned prefix" true
       (snap.Jupiter_css.Snapshot.at_serial >= 0)
 
+(* --- the soak driver ------------------------------------------------- *)
+
+(* [--chunk] only sets the sampling interval: the soak's rounds run
+   straight through chunk boundaries, so the final documents do not
+   depend on it.  333 is not a multiple of any round size. *)
+let test_longrun_chunk_invariant () =
+  let digest chunk =
+    let r =
+      Rlist_run.Longrun.run ~gc:Rlist_gc.default
+        ~now:(fun () -> 0.0)
+        ~protocol:"css-pruned" ~profile:Rlist_workload.Workload.Hotspot
+        ~nclients:4 ~updates:2_000 ~chunk ~seed:7 ()
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "converged (chunk %d)" chunk)
+      true r.Rlist_run.Longrun.l_converged;
+    r.Rlist_run.Longrun.l_digest
+  in
+  let reference = digest 500 in
+  List.iter
+    (fun chunk ->
+      Alcotest.(check string)
+        (Printf.sprintf "chunk %d digest" chunk)
+        reference (digest chunk))
+    [ 2_000; 333 ]
+
 let () =
   Alcotest.run "gc"
     [
@@ -344,5 +370,10 @@ let () =
             test_stable_snapshot_round_trip;
           Alcotest.test_case "engine emits the artifact" `Quick
             test_engine_snapshot_artifact;
+        ] );
+      ( "longrun",
+        [
+          Alcotest.test_case "digest does not depend on the chunk" `Quick
+            test_longrun_chunk_invariant;
         ] );
     ]

@@ -272,26 +272,6 @@ let test_noop_obs_is_transparent () =
     Alcotest.(check int) "updates counted" 60
       (Metrics.counter_of obs.Obs.metrics "engine.updates_generated")
 
-let test_timed_driver_latency_histogram () =
-  let obs = Obs.make () in
-  let t = Css.create ~nclients:3 () in
-  Css.attach_obs t obs;
-  let rng = Random.State.make [| 9 |] in
-  ignore
-    (Css.run_timed t ~rng
-       ~params:{ Rlist_sim.Schedule.default_timed_params with t_updates = 20 });
-  let m = obs.Obs.metrics in
-  match
-    Metrics.fold m ~init:None ~f:(fun acc name metric ->
-        if name = "engine.virtual_latency" then Some metric else acc)
-  with
-  | Some (Metrics.Histogram h) ->
-    (* one latency sample per scheduled message arrival *)
-    Alcotest.(check bool) "latency samples recorded" true
-      (Metrics.hist_count h > 0);
-    Alcotest.(check bool) "latencies positive" true (Metrics.hist_min h > 0.0)
-  | _ -> Alcotest.fail "virtual-latency histogram missing"
-
 (* --- p2p engine -------------------------------------------------------- *)
 
 let test_p2p_counters_consistent () =
@@ -344,8 +324,6 @@ let () =
         [
           Alcotest.test_case "no-op obs is transparent" `Quick
             test_noop_obs_is_transparent;
-          Alcotest.test_case "timed driver fills latency histogram" `Quick
-            test_timed_driver_latency_histogram;
         ] );
       ( "p2p",
         [

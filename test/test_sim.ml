@@ -197,29 +197,50 @@ let test_schedule_text_errors () =
   check_error "client out of range" "clients 2\ngen 3 read\n";
   check_error "bad client count" "clients zero\n"
 
-(* --- timed driver ----------------------------------------------------- *)
+(* --- rounds: generate, then quiesce ---------------------------------- *)
 
-let timed_params =
-  { Rlist_sim.Schedule.default_timed_params with t_updates = 25 }
+(* The soak driver's shape (lib/run/longrun): each round every client
+   generates [window] updates, then [quiesce] drains.  Returns the
+   realized schedule. *)
+let run_rounds t ~rng ~rounds ~window =
+  let intent =
+    Rlist_workload.Workload.intent_generator Rlist_workload.Workload.Uniform
+      ~nclients:(E.nclients t) ~rng
+  in
+  let performed = ref [] in
+  for _ = 1 to rounds do
+    for _ = 1 to window do
+      for i = 1 to E.nclients t do
+        let doc_length = Document.length (E.client_document t i) in
+        let ev =
+          Rlist_sim.Schedule.Generate (i, intent ~client:i ~doc_length)
+        in
+        E.apply_event t ev;
+        performed := ev :: !performed
+      done
+    done;
+    performed := List.rev_append (E.quiesce t) !performed
+  done;
+  List.rev !performed
 
-let test_run_timed_basics () =
+let test_rounds_basics () =
   let t = E.create ~nclients:3 () in
   let rng = Random.State.make [| 31 |] in
-  let schedule = E.run_timed t ~rng ~params:timed_params in
+  let schedule = run_rounds t ~rng ~rounds:5 ~window:2 in
   Alcotest.(check int) "quiesced" 0 (E.pending_messages t);
   Alcotest.(check bool) "converged" true (E.converged t);
   Alcotest.(check int)
-    "update count honoured" timed_params.t_updates
+    "every slot is an update" 30
     (Rlist_sim.Schedule.update_count schedule);
   match Rlist_spec.Trace.validate (E.trace t) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "trace invalid: %s" e
 
-let test_run_timed_deterministic_and_replayable () =
+let test_rounds_deterministic_and_replayable () =
   let run () =
     let t = E.create ~nclients:3 () in
     let rng = Random.State.make [| 77 |] in
-    let schedule = E.run_timed t ~rng ~params:timed_params in
+    let schedule = run_rounds t ~rng ~rounds:6 ~window:3 in
     t, schedule
   in
   let t1, s1 = run () in
@@ -232,44 +253,50 @@ let test_run_timed_deterministic_and_replayable () =
   (* the realized schedule replays on CSCW with identical behaviour *)
   let cscw = Helpers.Cscw_run.E.create ~nclients:3 () in
   Helpers.Cscw_run.E.run cscw s1;
-  Alcotest.check Helpers.doc_string "CSCW agrees under the timed schedule"
+  Alcotest.check Helpers.doc_string "CSCW agrees under the round schedule"
     (E.server_document t1)
     (Helpers.Cscw_run.E.server_document cscw)
 
-let test_run_timed_fifo_preserved () =
-  (* Two rapid updates from one client must reach the server in
-     generation order even when the second draws a smaller latency:
-     the protocol would reject the out-of-order context loudly, so a
-     clean converged run is the proof. *)
-  let t = E.create ~nclients:2 () in
-  let rng = Random.State.make [| 5 |] in
-  let params =
-    {
-      Rlist_sim.Schedule.default_timed_params with
-      t_updates = 40;
-      t_mean_latency = 300.0;
-      t_think_time = 1.0;  (* bursts of sends per client *)
-    }
+let test_rounds_fifo_preserved () =
+  (* Bursts of twenty sends per client over a wire that drops,
+     duplicates and reorders: the shim must hand them to the server in
+     generation order, or the protocol would reject an out-of-order
+     context loudly, so a clean converged run is the proof. *)
+  let faults =
+    { Rlist_net.Faults.none with drop = 0.2; duplicate = 0.2; reorder = 0.3 }
   in
-  ignore (E.run_timed t ~rng ~params);
+  let net = Rlist_net.Transport.config ~faults ~seed:5 () in
+  let t = E.create ~net ~nclients:2 () in
+  let rng = Random.State.make [| 5 |] in
+  ignore (run_rounds t ~rng ~rounds:3 ~window:20);
   Alcotest.(check bool) "converged under bursty sends" true (E.converged t)
 
-let test_run_timed_high_latency () =
-  (* Latency much larger than think time: heavy concurrency, still
-     convergent and weak-spec compliant. *)
+let test_rounds_wide_window () =
+  (* A window much wider than the client count: heavy concurrency,
+     still convergent and weak-spec compliant. *)
   let t = E.create ~nclients:4 () in
   let rng = Random.State.make [| 99 |] in
-  let params =
-    {
-      Rlist_sim.Schedule.default_timed_params with
-      t_updates = 30;
-      t_mean_latency = 500.0;
-      t_think_time = 10.0;
-    }
-  in
-  ignore (E.run_timed t ~rng ~params);
+  ignore (run_rounds t ~rng ~rounds:2 ~window:8);
   Alcotest.(check bool) "converged" true (E.converged t);
   Helpers.check_satisfied "weak" (Rlist_spec.Weak_spec.check (E.trace t))
+
+let test_rounds_settle_acks () =
+  (* On a fault-free shim wire every delivery is ready at once, so the
+     delivery loop never stalls and never ticks; acks leave and arrive
+     only on ticks.  [quiesce] must settle them, or the senders'
+     retransmission buffers would grow for the whole run. *)
+  let net =
+    Rlist_net.Transport.config ~faults:Rlist_net.Faults.none ~seed:3 ()
+  in
+  let t = E.create ~net ~nclients:3 () in
+  let rng = Random.State.make [| 3 |] in
+  let rounds = 10 in
+  ignore (run_rounds t ~rng ~rounds ~window:2);
+  let stats = Rlist_net.Transport.stats net in
+  Alcotest.(check bool)
+    "at least one ack per round" true
+    (stats.Rlist_net.Stats.acks_sent >= rounds);
+  Alcotest.(check int) "no retransmissions" 0 stats.Rlist_net.Stats.retransmits
 
 let test_figures_validate () =
   List.iter
@@ -326,14 +353,16 @@ let () =
             test_run_random_quiesces;
           Alcotest.test_case "replayable" `Quick test_run_random_replayable;
         ] );
-      ( "timed driver",
+      ( "rounds",
         [
-          Alcotest.test_case "basics" `Quick test_run_timed_basics;
+          Alcotest.test_case "basics" `Quick test_rounds_basics;
           Alcotest.test_case "deterministic and replayable" `Quick
-            test_run_timed_deterministic_and_replayable;
-          Alcotest.test_case "high latency" `Quick test_run_timed_high_latency;
+            test_rounds_deterministic_and_replayable;
+          Alcotest.test_case "wide window" `Quick test_rounds_wide_window;
           Alcotest.test_case "bursty sends stay FIFO" `Quick
-            test_run_timed_fifo_preserved;
+            test_rounds_fifo_preserved;
+          Alcotest.test_case "quiesce settles acks" `Quick
+            test_rounds_settle_acks;
         ] );
       ( "schedule text",
         [
