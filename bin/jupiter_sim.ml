@@ -285,15 +285,17 @@ let gc_conv =
         match Rlist_gc.of_string s with
         | Ok p -> Ok p
         | Error msg -> Error (`Msg msg)),
-      fun ppf p -> Format.pp_print_string ppf (Rlist_gc.to_string p) )
+      Rlist_gc.pp )
 
 let gc_arg =
   Arg.(value & opt (some gc_conv) None
        & info [ "gc" ] ~docv:"POLICY"
            ~doc:
              "Continuous metadata GC: $(b,default) or a field list like \
-              $(b,ops=64,meta=4096,lag=256,retain=64,snap=4) (at least one \
-              of ops/meta/lag).  Compaction cycles run out of band, so the \
+              $(b,ops=64,retain=64): a compaction cycle every $(b,ops) \
+              applied operations, keeping the last $(b,retain) dedup keys \
+              per shim receiver ($(b,ops) is required, $(b,retain) \
+              defaults to 64).  Compaction cycles run out of band, so the \
               run's schedule, digest, and final documents are bit-identical \
               to the same seed without GC — it just retains less metadata.")
 

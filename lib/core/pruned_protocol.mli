@@ -79,6 +79,7 @@ val server_log_length : server -> int
 
 (** The server's stable snapshot ({!Snapshot.stable_to_string}): the
     document at the acked-stable frontier plus the serial it covers.
-    The GC driver persists this as the Raft-style compaction
-    artifact. *)
+    Nothing restores from it and the GC driver does not take it; it
+    stays only because perfbench's [Timed] wrapper names every
+    [gc_support] field. *)
 val server_snapshot : server -> string

@@ -1,31 +1,10 @@
-type trigger =
-  | Every_ops of int
-  | Metadata_above of int
-  | Ack_lag of int
+type policy = { every_ops : int; retain_keys : int }
 
-type policy = {
-  triggers : trigger list;
-  retain_keys : int;
-  snapshot_every : int;
-}
-
-let default =
-  { triggers = [ Every_ops 64 ]; retain_keys = 64; snapshot_every = 4 }
-
-let trigger_name = function
-  | Every_ops n -> Printf.sprintf "ops=%d" n
-  | Metadata_above n -> Printf.sprintf "meta=%d" n
-  | Ack_lag n -> Printf.sprintf "lag=%d" n
+let default = { every_ops = 64; retain_keys = 64 }
+let trigger_name p = Printf.sprintf "ops=%d" p.every_ops
 
 let to_string p =
-  let fields =
-    List.map trigger_name p.triggers
-    @ [
-        Printf.sprintf "retain=%d" p.retain_keys;
-        Printf.sprintf "snap=%d" p.snapshot_every;
-      ]
-  in
-  String.concat "," fields
+  Printf.sprintf "%s,retain=%d" (trigger_name p) p.retain_keys
 
 let of_string s =
   let s = String.trim s in
@@ -35,38 +14,38 @@ let of_string s =
     let parse acc field =
       match acc with
       | Error _ as e -> e
-      | Ok (triggers, retain, snap) -> (
+      | Ok (ops, retain) -> (
         match String.index_opt field '=' with
         | None -> Error (Printf.sprintf "gc policy: expected key=value in %S" field)
         | Some i -> (
-          let key = String.sub field 0 i in
+          let key = String.trim (String.sub field 0 i) in
           let value = String.sub field (i + 1) (String.length field - i - 1) in
-          match int_of_string_opt (String.trim value) with
-          | None ->
+          match key, int_of_string_opt (String.trim value) with
+          | ("meta" | "lag" | "snap"), _ ->
+            Error
+              (Printf.sprintf
+                 "gc policy: %s= was removed; a policy is ops=N[,retain=N]" key)
+          | ("ops" | "retain"), None ->
             Error (Printf.sprintf "gc policy: %S is not an integer" value)
-          | Some n when n < 0 ->
-            Error (Printf.sprintf "gc policy: %s must be non-negative" key)
-          | Some n -> (
-            match String.trim key with
-            | "ops" when n > 0 -> Ok (Every_ops n :: triggers, retain, snap)
-            | "meta" when n > 0 -> Ok (Metadata_above n :: triggers, retain, snap)
-            | "lag" when n > 0 -> Ok (Ack_lag n :: triggers, retain, snap)
-            | ("ops" | "meta" | "lag") as k ->
-              Error (Printf.sprintf "gc policy: %s must be positive" k)
-            | "retain" -> Ok (triggers, Some n, snap)
-            | "snap" -> Ok (triggers, retain, Some n)
-            | k -> Error (Printf.sprintf "gc policy: unknown key %S" k))))
+          | "ops", _ when Option.is_some ops -> Error "gc policy: ops given twice"
+          | "retain", _ when Option.is_some retain ->
+            Error "gc policy: retain given twice"
+          | "ops", Some n when n < 1 ->
+            Error "gc policy: ops must be positive"
+          | "retain", Some n when n < 0 ->
+            Error "gc policy: retain must be non-negative"
+          | "ops", Some n -> Ok (Some n, retain)
+          | "retain", Some n -> Ok (ops, Some n)
+          | k, _ -> Error (Printf.sprintf "gc policy: unknown key %S" k)))
     in
-    match List.fold_left parse (Ok ([], None, None)) fields with
+    match List.fold_left parse (Ok (None, None)) fields with
     | Error _ as e -> e
-    | Ok ([], _, _) ->
-      Error "gc policy: at least one trigger (ops=/meta=/lag=) is required"
-    | Ok (triggers, retain, snap) ->
+    | Ok (None, _) -> Error "gc policy: ops=N is required"
+    | Ok (Some every_ops, retain) ->
       Ok
         {
-          triggers = List.rev triggers;
+          every_ops;
           retain_keys = Option.value retain ~default:default.retain_keys;
-          snapshot_every = Option.value snap ~default:default.snapshot_every;
         }
   end
 
@@ -81,8 +60,6 @@ type stats = {
   skipped_heartbeats : int;
   stables_delivered : int;
   skipped_stables : int;
-  snapshots : int;
-  last_snapshot_bytes : int;
   meta_peak : int;
 }
 
@@ -96,8 +73,6 @@ let stats_fields s =
     "skipped_heartbeats", s.skipped_heartbeats;
     "stables_delivered", s.stables_delivered;
     "skipped_stables", s.skipped_stables;
-    "snapshots", s.snapshots;
-    "last_snapshot_bytes", s.last_snapshot_bytes;
     "meta_peak", s.meta_peak;
   ]
 
@@ -105,7 +80,6 @@ module Driver = struct
   type t = {
     d_policy : policy;
     mutable ops_since : int;
-    mutable ops_since_snapshot : int;
     mutable in_cycle : bool;
     mutable s : stats;
   }
@@ -120,37 +94,17 @@ module Driver = struct
       skipped_heartbeats = 0;
       stables_delivered = 0;
       skipped_stables = 0;
-      snapshots = 0;
-      last_snapshot_bytes = 0;
       meta_peak = 0;
     }
 
   let create policy =
-    {
-      d_policy = policy;
-      ops_since = 0;
-      ops_since_snapshot = 0;
-      in_cycle = false;
-      s = zero_stats;
-    }
+    { d_policy = policy; ops_since = 0; in_cycle = false; s = zero_stats }
 
   let policy t = t.d_policy
+  let note_ops t n = t.ops_since <- t.ops_since + n
+  let due t = (not t.in_cycle) && t.ops_since >= t.d_policy.every_ops
 
-  let note_ops t n =
-    t.ops_since <- t.ops_since + n;
-    t.ops_since_snapshot <- t.ops_since_snapshot + n
-
-  let due t ~meta ~lag =
-    if t.in_cycle then None
-    else
-      List.find_opt
-        (function
-          | Every_ops n -> t.ops_since >= n
-          | Metadata_above n -> meta > n
-          | Ack_lag n -> lag > n)
-        t.d_policy.triggers
-
-  let begin_cycle t _trigger =
+  let begin_cycle t =
     t.in_cycle <- true;
     t.ops_since <- 0;
     t.s <- { t.s with cycles = t.s.cycles + 1 };
@@ -167,39 +121,14 @@ module Driver = struct
   let note_skipped_stable t =
     t.s <- { t.s with skipped_stables = t.s.skipped_stables + 1 }
 
-  (* Serialization budget per operation: a snapshot of [b] bytes is
-     only taken once [b / snapshot_byte_budget] operations have passed
-     since the previous one.  Snapshot cost is proportional to the
-     live {e document} (which legitimately grows with the edit
-     history), so a fixed cycle cadence would make the amortized
-     per-op cost grow with the horizon — the amortization keeps it a
-     constant, the same log-vs-state tradeoff that gates compaction in
-     Raft-style systems. *)
-  let snapshot_byte_budget = 64
-
-  let snapshot_due t =
-    t.d_policy.snapshot_every > 0
-    && t.s.cycles mod t.d_policy.snapshot_every = 0
-    && t.ops_since_snapshot * snapshot_byte_budget >= t.s.last_snapshot_bytes
-
-  let end_cycle t ~reclaimed_states ~reclaimed_log ~reclaimed_keys
-      ~snapshot_bytes ~meta =
+  let end_cycle t ~reclaimed_states ~reclaimed_log ~reclaimed_keys ~meta =
     t.in_cycle <- false;
-    let snapshots, last_snapshot_bytes =
-      match snapshot_bytes with
-      | None -> t.s.snapshots, t.s.last_snapshot_bytes
-      | Some bytes ->
-        t.ops_since_snapshot <- 0;
-        t.s.snapshots + 1, bytes
-    in
     t.s <-
       {
         t.s with
         reclaimed_states = t.s.reclaimed_states + reclaimed_states;
         reclaimed_log = t.s.reclaimed_log + reclaimed_log;
         reclaimed_keys = t.s.reclaimed_keys + reclaimed_keys;
-        snapshots;
-        last_snapshot_bytes;
         meta_peak = max t.s.meta_peak meta;
       }
 

@@ -6,68 +6,57 @@
     reliability shim's dedup tables all grow without bound over an
     unbounded execution.  The pieces that bound each of them exist —
     [Pruned_protocol] rebases the space onto the acked-stable frontier
-    with [State_space.compact], [Snapshot] serializes the stable
-    document, and the shim ack-prunes its retransmission buffer — but a
-    *discipline* has to decide when to run them.  This module is that
-    discipline: a declarative {!policy} (which triggers fire, how much
-    dedup history to retain, how often to snapshot) and a {!Driver}
-    that owns the trigger state and the reclaimed-metadata counters.
+    with [State_space.compact], and the shim ack-prunes its
+    retransmission buffer — but a *discipline* has to decide when to
+    run them.  This module is that discipline: a declarative {!policy}
+    (an op cadence and how much dedup history to retain) and a
+    {!Driver} that owns the cadence counter and the reclaimed-metadata
+    counters.
 
     The module is deliberately dependency-free: the engines in
     [lib/sim] consume it, the CLI parses it, and recording headers
     round-trip it through {!to_string}/{!of_string}, so it must sit
     below all of them.
 
-    Determinism contract: a GC cycle is driven entirely by simulation
-    state (op counts, metadata sizes, ack lag) — never by wall-clock
-    time or randomness — and the engines run cycles *out of band*
-    (direct protocol calls on empty channels, no transport sends, no
-    RNG draws).  Two runs of the same seed with GC on and off therefore
-    produce bit-identical schedules, behaviours, and final documents;
-    the GC-on run just carries less metadata.  [test/test_gc.ml] holds
-    this differentially over ~300 seeded workloads. *)
-
-(** When to start a compaction cycle.  A policy may carry several
-    triggers; a cycle starts as soon as any of them fires. *)
-type trigger =
-  | Every_ops of int
-      (** after every [n] list operations applied anywhere in the
-          system (generates and op-bearing deliveries both count) *)
-  | Metadata_above of int
-      (** whenever the total live metadata (summed state-space sizes)
-          exceeds [n] nodes *)
-  | Ack_lag of int
-      (** whenever the server's serialization log runs more than [n]
-          serials ahead of the stable frontier *)
+    Determinism contract: a GC cycle is driven entirely by the count of
+    applied operations — never by wall-clock time or randomness — and
+    the engines run cycles *out of band* (direct protocol calls on
+    empty channels, no transport sends, no RNG draws).  Two runs of the
+    same seed with GC on and off therefore produce bit-identical
+    schedules, behaviours, and final documents; the GC-on run just
+    carries less metadata.  [test/test_gc.ml] holds this differentially
+    over several hundred seeded workloads. *)
 
 type policy = {
-  triggers : trigger list;
+  every_ops : int;
+      (** start a cycle after every [n] list operations applied
+          anywhere in the system (generates and op-bearing deliveries
+          both count) *)
   retain_keys : int;
       (** how many most-recently-delivered dedup keys each shim
           receiver keeps when pruning; the window must cover the
           checkpoint lag (a restored receiver replays keys from its
           last checkpoint) *)
-  snapshot_every : int;
-      (** take a stable snapshot every [n]-th cycle; [0] disables
-          snapshotting *)
 }
 
 val default : policy
-(** [Every_ops 64], [retain_keys = 64], [snapshot_every = 4]. *)
+(** [every_ops = 64], [retain_keys = 64]. *)
 
-val trigger_name : trigger -> string
-(** ["ops=64"], ["meta=4096"], ["lag=256"] — also the concrete syntax
-    accepted by {!of_string}. *)
+val trigger_name : policy -> string
+(** ["ops=64"]: the cadence as recorded in [Gc] decisions and
+    [gc_begin] events. *)
 
 val to_string : policy -> string
-(** Canonical comma-separated form, e.g. ["ops=64,retain=64,snap=4"].
+(** Canonical comma-separated form, e.g. ["ops=64,retain=64"].
     Round-trips through {!of_string}; recording headers store this. *)
 
 val of_string : string -> (policy, string) result
-(** Parse ["ops=N" | "meta=N" | "lag=N" | "retain=N" | "snap=N"]
-    comma-separated, any order; unset fields take {!default}'s values,
-    but at least one trigger must be given.  ["default"] is accepted
-    as a synonym for {!default}. *)
+(** Parse ["ops=N" | "retain=N"] comma-separated, any order, each at
+    most once; [ops=] is required and [retain=] defaults to
+    {!default}'s.  ["default"] is accepted as a synonym for
+    {!default}.  The removed keys [meta], [lag] and [snap] (found in
+    older recording headers) are rejected with an error that names
+    them. *)
 
 val pp : Format.formatter -> policy -> unit
 
@@ -87,15 +76,13 @@ type stats = {
   skipped_stables : int;
       (** clients whose s2c channel was busy — their prune lags until
           a later cycle *)
-  snapshots : int;
-  last_snapshot_bytes : int;
   meta_peak : int;  (** high-water mark of live metadata seen at cycles *)
 }
 
 val stats_fields : stats -> (string * int) list
 (** Stable field-name/value pairs, for JSON rendering and reports. *)
 
-(** The mutable per-run trigger state and counters.  One driver per
+(** The mutable per-run cadence state and counters.  One driver per
     engine; the engine consults {!Driver.due} after every applied
     event and brackets each cycle with {!Driver.begin_cycle} /
     {!Driver.end_cycle}. *)
@@ -106,38 +93,27 @@ module Driver : sig
   val policy : t -> policy
 
   val note_ops : t -> int -> unit
-  (** Count [n] list operations toward the [Every_ops] trigger. *)
+  (** Count [n] list operations toward the cadence. *)
 
-  val due : t -> meta:int -> lag:int -> trigger option
-  (** The first firing trigger, if any.  [meta] is the system's total
-      live metadata, [lag] the server's serial-past-stable distance.
-      Pure with respect to simulation state: no clock, no RNG. *)
+  val due : t -> bool
+  (** Whether [every_ops] operations have been applied since the last
+      cycle began (and no cycle is running).  A pure function of the
+      op count: no clock, no RNG, no metadata probes. *)
 
-  val begin_cycle : t -> trigger -> int
-  (** Start a cycle; returns its 1-based index and resets the
-      [Every_ops] counter. *)
+  val begin_cycle : t -> int
+  (** Start a cycle; returns its 1-based index and resets the op
+      counter. *)
 
   val note_heartbeat : t -> unit
   val note_skipped_heartbeat : t -> unit
   val note_stable : t -> unit
   val note_skipped_stable : t -> unit
 
-  val snapshot_due : t -> bool
-  (** Whether the cycle being finished should take a snapshot: every
-      [snapshot_every]-th cycle, {e and} only once enough operations
-      have passed since the previous snapshot to pay for its size (64
-      serialized bytes of budget per operation).  Snapshots cost
-      O(document), and the document grows with the edit history, so
-      without the amortization a fixed cadence would make per-op
-      latency grow with the horizon.  Deterministic: a pure function
-      of the op and cycle counts. *)
-
   val end_cycle :
     t ->
     reclaimed_states:int ->
     reclaimed_log:int ->
     reclaimed_keys:int ->
-    snapshot_bytes:int option ->
     meta:int ->
     unit
 

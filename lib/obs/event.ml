@@ -65,7 +65,6 @@ type t =
       reclaimed_log : int;
       reclaimed_keys : int;
       meta : int;
-      snapshot_bytes : int;
       skipped : int;
       tick : int;
     }
@@ -162,16 +161,14 @@ let to_jsonl ~seq e =
           reclaimed_log;
           reclaimed_keys;
           meta;
-          snapshot_bytes;
           skipped;
           tick;
         } ->
       Printf.sprintf
         "\"cycle\": %d, \"reclaimed_states\": %d, \"reclaimed_log\": %d, \
-         \"reclaimed_keys\": %d, \"meta\": %d, \"snapshot_bytes\": %d, \
-         \"skipped\": %d, \"tick\": %d"
-        cycle reclaimed_states reclaimed_log reclaimed_keys meta
-        snapshot_bytes skipped tick
+         \"reclaimed_keys\": %d, \"meta\": %d, \"skipped\": %d, \
+         \"tick\": %d"
+        cycle reclaimed_states reclaimed_log reclaimed_keys meta skipped tick
   in
   head ^ body ^ "}"
 
@@ -382,7 +379,6 @@ let of_jsonl line =
               reclaimed_log = fint fields "reclaimed_log";
               reclaimed_keys = fint fields "reclaimed_keys";
               meta = fint fields "meta";
-              snapshot_bytes = fint fields "snapshot_bytes";
               skipped = fint fields "skipped";
               tick = fint fields "tick";
             }

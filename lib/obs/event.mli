@@ -75,7 +75,7 @@ type t =
     }
   | Gc_begin of {
       cycle : int;  (** 1-based compaction-cycle index. *)
-      trigger : string;  (** The fired trigger, e.g. ["ops=64"]. *)
+      trigger : string;  (** The policy's cadence, e.g. ["ops=64"]. *)
       meta : int;  (** Total live metadata when the cycle started. *)
       tick : int;
     }
@@ -85,7 +85,6 @@ type t =
       reclaimed_log : int;  (** Serialization-log entries truncated. *)
       reclaimed_keys : int;  (** Shim dedup keys pruned. *)
       meta : int;  (** Total live metadata after the cycle. *)
-      snapshot_bytes : int;  (** [0] when no snapshot was taken. *)
       skipped : int;
           (** Busy channels the cycle declined to touch (their
               pruning lags until a later cycle). *)

@@ -80,7 +80,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
   and gc_state = {
     g_driver : Driver.t;
     g_support : (P.client, P.server, P.c2s) Protocol_intf.gc_support option;
-    mutable g_last_snapshot : string option;
   }
 
   (* The dedup key of a batch joins its operations' identifiers: a
@@ -132,11 +131,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       gc =
         Option.map
           (fun policy ->
-            {
-              g_driver = Driver.create policy;
-              g_support = P.gc_support;
-              g_last_snapshot = None;
-            })
+            { g_driver = Driver.create policy; g_support = P.gc_support })
           gc;
       history;
     }
@@ -334,7 +329,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       (fun n m -> match op_id_of m with Some _ -> n + 1 | None -> n)
       0 batch
 
-  let system_meta t =
+  let total_metadata_size t =
     let sum = ref (P.server_metadata_size t.server) in
     for i = 1 to t.nclients do
       sum := !sum + P.client_metadata_size t.clients.(i)
@@ -359,11 +354,12 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
      documents bit-identical to the same seed with GC off.  The MC
      workload [Workload.compaction_race] checks the racy variant of
      this argument; DESIGN.md section 14 spells it out. *)
-  let run_gc_cycle t g trigger ~meta_before =
+  let run_gc_cycle t g =
     let d = g.g_driver in
+    let meta_before = total_metadata_size t in
     let before = Driver.stats d in
-    let cycle = Driver.begin_cycle d trigger in
-    let trigger_s = Rlist_gc.trigger_name trigger in
+    let cycle = Driver.begin_cycle d in
+    let trigger_s = Rlist_gc.trigger_name (Driver.policy d) in
     record_decision t (Recorder.Gc { cycle; trigger = trigger_s });
     emit_gc_event t
       (Ev.Gc_begin
@@ -413,23 +409,13 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         + Transport.prune_delivered t.to_server.(i) ~retain
         + Transport.prune_delivered t.to_client.(i) ~retain
     done;
-    (* 3. Periodic stable snapshot. *)
-    let snapshot_bytes =
-      match g.g_support with
-      | Some s when Driver.snapshot_due d ->
-        let snap = s.Protocol_intf.gc_snapshot t.server in
-        g.g_last_snapshot <- Some snap;
-        Some (String.length snap)
-      | _ -> None
-    in
-    let meta_after = system_meta t in
+    let meta_after = total_metadata_size t in
     let reclaimed_log =
       match g.g_support with None -> 0 | Some s -> frontier_sum s - log_before
     in
     Driver.end_cycle d
       ~reclaimed_states:(max 0 (meta_before - meta_after))
-      ~reclaimed_log ~reclaimed_keys:!reclaimed_keys ~snapshot_bytes
-      ~meta:meta_after;
+      ~reclaimed_log ~reclaimed_keys:!reclaimed_keys ~meta:meta_after;
     let after = Driver.stats d in
     (* Re-baseline the per-replica metadata snapshots so the next
        delivery's [meta_delta] is not charged with the compaction. *)
@@ -447,7 +433,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
            reclaimed_log;
            reclaimed_keys = !reclaimed_keys;
            meta = meta_after;
-           snapshot_bytes = Option.value snapshot_bytes ~default:0;
            skipped =
              after.Rlist_gc.skipped_heartbeats
              - before.Rlist_gc.skipped_heartbeats
@@ -456,19 +441,12 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
            tick = t.clock;
          })
 
+  (* Called after every applied event: between cycles only the op
+     count is consulted, and metadata is summed inside a cycle. *)
   let maybe_gc t =
     match t.gc with
-    | None -> ()
-    | Some g -> (
-      let meta = system_meta t in
-      let lag =
-        match g.g_support with
-        | None -> 0
-        | Some s -> s.Protocol_intf.gc_server_lag t.server
-      in
-      match Driver.due g.g_driver ~meta ~lag with
-      | None -> ()
-      | Some trigger -> run_gc_cycle t g trigger ~meta_before:meta)
+    | Some g when Driver.due g.g_driver -> run_gc_cycle t g
+    | _ -> ()
 
   let apply_one t = function
     | Schedule.Generate (i, intent) ->
@@ -889,13 +867,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
 
   let server_metadata_size t = P.server_metadata_size t.server
 
-  let total_metadata_size t =
-    let sum = ref (server_metadata_size t) in
-    for i = 1 to t.nclients do
-      sum := !sum + client_metadata_size t i
-    done;
-    !sum
-
   let server t = t.server
 
   let client t i =
@@ -903,8 +874,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     t.clients.(i)
 
   let gc_stats t = Option.map (fun g -> Driver.stats g.g_driver) t.gc
-
-  let gc_last_snapshot t = Option.bind t.gc (fun g -> g.g_last_snapshot)
 
   let dedup_keys t =
     let sum = ref 0 in

@@ -30,18 +30,18 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       order is preserved because the outbox drains entirely, in send
       order, before the payload behind it is delivered.
 
-      [gc], when given, runs the continuous compaction discipline: the
-      policy's triggers are checked after every applied event, and a
-      firing trigger runs one cycle — an out-of-band heartbeat
-      exchange on the empty channels (protocols with
-      [Protocol_intf.gc_support]; others degrade to shim-level
-      pruning), dedup-key pruning in the reliability shim, and a
-      periodic stable snapshot.  Cycles consume no transport sends, no
-      sequence numbers, no RNG draws, and no behavior entries, so a
-      GC-on run is schedule- and behavior-identical to the same seed
-      with GC off — it just retains less metadata.  Cycle boundaries
-      land in the flight recorder and (as [gc_begin]/[gc_end] events)
-      in the trace.
+      [gc], when given, runs the continuous compaction discipline:
+      every [every_ops] applied operations, one cycle runs — an
+      out-of-band heartbeat exchange on the empty channels (protocols
+      with [Protocol_intf.gc_support]; others degrade to shim-level
+      pruning) and dedup-key pruning in the reliability shim.  Between
+      cycles the engine only counts operations: metadata sizes are
+      read when a cycle starts and ends.  Cycles consume no transport
+      sends, no sequence numbers, no RNG draws, and no behavior
+      entries, so a GC-on run is schedule- and behavior-identical to
+      the same seed with GC off — it just retains less metadata.
+      Cycle boundaries land in the flight recorder and (as
+      [gc_begin]/[gc_end] events) in the trace.
 
       [history] (default [true]): retain the spec-event trace and the
       behavior list.  These are the engine's only structures that grow
@@ -151,11 +151,6 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
   (** Cumulative GC accounting; [None] when the engine was created
       without a policy. *)
   val gc_stats : t -> Rlist_gc.stats option
-
-  (** The most recent stable snapshot taken by a GC cycle
-      ([Snapshot.stable_of_string] parses it), if any cycle has
-      snapshotted yet. *)
-  val gc_last_snapshot : t -> string option
 
   (** Total dedup-key population across all channel shims — the
       metadata the GC's shim-pruning step bounds. *)

@@ -301,16 +301,17 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) = struct
     | Some d when n > 0 -> Rlist_gc.Driver.note_ops d n
     | _ -> ()
 
-  let system_meta t =
+  let total_metadata_size t =
     let sum = ref 0 in
     for i = 1 to t.npeers do
       sum := !sum + P.metadata_size t.peers.(i)
     done;
     !sum
 
-  let run_gc_cycle t d trigger ~meta_before =
-    let cycle = Rlist_gc.Driver.begin_cycle d trigger in
-    let trigger_s = Rlist_gc.trigger_name trigger in
+  let run_gc_cycle t d =
+    let meta_before = total_metadata_size t in
+    let cycle = Rlist_gc.Driver.begin_cycle d in
+    let trigger_s = Rlist_gc.trigger_name (Rlist_gc.Driver.policy d) in
     record_decision t (Recorder.Gc { cycle; trigger = trigger_s });
     let emit ev =
       match t.obs with
@@ -330,9 +331,9 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) = struct
             + Transport.prune_delivered t.channels.(src).(dst) ~retain
       done
     done;
-    let meta_after = system_meta t in
+    let meta_after = total_metadata_size t in
     Rlist_gc.Driver.end_cycle d ~reclaimed_states:0 ~reclaimed_log:0
-      ~reclaimed_keys:!reclaimed_keys ~snapshot_bytes:None ~meta:meta_after;
+      ~reclaimed_keys:!reclaimed_keys ~meta:meta_after;
     emit
       (Ev.Gc_end
          {
@@ -341,19 +342,14 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) = struct
            reclaimed_log = 0;
            reclaimed_keys = !reclaimed_keys;
            meta = meta_after;
-           snapshot_bytes = 0;
            skipped = 0;
            tick = t.clock;
          })
 
   let maybe_gc t =
     match t.gc with
-    | None -> ()
-    | Some d -> (
-      let meta = system_meta t in
-      match Rlist_gc.Driver.due d ~meta ~lag:0 with
-      | None -> ()
-      | Some trigger -> run_gc_cycle t d trigger ~meta_before:meta)
+    | Some d when Rlist_gc.Driver.due d -> run_gc_cycle t d
+    | _ -> ()
 
   let apply_one t = function
     | Generate (i, intent) ->
@@ -531,13 +527,6 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) = struct
     let sum = ref 0 in
     for i = 1 to t.npeers do
       sum := !sum + P.ot_count t.peers.(i)
-    done;
-    !sum
-
-  let total_metadata_size t =
-    let sum = ref 0 in
-    for i = 1 to t.npeers do
-      sum := !sum + P.metadata_size t.peers.(i)
     done;
     !sum
 

@@ -48,10 +48,15 @@ type ('client, 'server, 'c2s) gc_support = {
   gc_server_frontier : 'server -> int;
       (** The serial the server has pruned to. *)
   gc_server_lag : 'server -> int;
-      (** Serials past the stable frontier — the retained log length,
-          the [Ack_lag] trigger input. *)
+      (** Serials past the stable frontier — the retained log length.
+          The engines do not call it; it stays only because
+          perfbench's [Timed] wrapper builds this record by naming
+          every field. *)
   gc_snapshot : 'server -> string;
-      (** Serialized stable snapshot ([Snapshot.stable_to_string]). *)
+      (** Serialized stable snapshot ([Snapshot.stable_to_string]).
+          The engines do not call it; it stays only because
+          perfbench's [Timed] wrapper builds this record by naming
+          every field. *)
 }
 
 module type PROTOCOL = sig

@@ -76,7 +76,7 @@ let test_batched_replays () =
    GC cycle decisions land in the ring, and the span report
    attributes the reclaimed metadata. *)
 let gc_policy =
-  match Rlist_gc.of_string "ops=16,retain=32,snap=2" with
+  match Rlist_gc.of_string "ops=16,retain=32" with
   | Ok p -> p
   | Error msg -> failwith msg
 
@@ -136,7 +136,7 @@ let test_header_round_trips () =
       rto = 20;
       batching = true;
       fastpath = true;
-      gc = Some { Rlist_gc.default with Rlist_gc.snapshot_every = 2 };
+      gc = Some { Rlist_gc.default with Rlist_gc.every_ops = 32 };
     }
   in
   match Recorded.spec_of_header (Recorded.header_of spec) with

@@ -58,8 +58,7 @@ let exemplars : Event.t list =
     Gc_begin { cycle = 1; trigger = "ops=64"; meta = 412; tick = 50 };
     Gc_end
       { cycle = 1; reclaimed_states = 37; reclaimed_log = 12;
-        reclaimed_keys = 24; meta = 180; snapshot_bytes = 96; skipped = 1;
-        tick = 51 };
+        reclaimed_keys = 24; meta = 180; skipped = 1; tick = 51 };
   ]
 
 let rendered () =
