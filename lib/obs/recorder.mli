@@ -62,7 +62,7 @@ type decision =
   | Tick of int  (** Engine clock after advancing every channel. *)
   | Gc of {
       cycle : int;
-      trigger : string;  (** The fired trigger, e.g. ["ops=64"]. *)
+      trigger : string;  (** The policy's cadence, e.g. ["ops=64"]. *)
     }
       (** A compaction cycle started here.  GC cycles are themselves
           deterministic functions of the simulation state, so the

@@ -197,7 +197,10 @@ let test_driver_triggers () =
   Alcotest.(check int) "meta peak" 7 s.Rlist_gc.meta_peak;
   let d' = Rlist_gc.Driver.create Rlist_gc.default in
   Rlist_gc.Driver.note_ops d' 64;
+  Alcotest.(check bool) "due before the cycle" true (Rlist_gc.Driver.due d');
   ignore (Rlist_gc.Driver.begin_cycle d');
+  Rlist_gc.Driver.end_cycle d' ~reclaimed_states:0 ~reclaimed_log:0
+    ~reclaimed_keys:0 ~meta:0;
   Alcotest.(check bool)
     "ops counter reset by begin_cycle" false
     (Rlist_gc.Driver.due d')
